@@ -30,7 +30,8 @@ server options:
   --ckpt-dir DIR     on-disk checkpoints for unsampled requests
   --bpred NAME       branch predictor for every cell:
                      tage|tagescl|ittage|alwayswrong|oracle (default: per-cell config)
-  --cache-cap N      result-cache entries before FIFO eviction (default 4096)
+  --cache-cap N      result-cache entries, and shared fast-forward
+                     snapshots, before FIFO eviction (default 4096)
   --delay-ms N       artificial per-cell delay (load-shaping for tests)
 
 client modes:

@@ -1,7 +1,7 @@
 //! The parallel experiment grid: cell pool, deduplication, workload
 //! caching, and the work-stealing scoped-thread runner.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -245,34 +245,58 @@ pub struct SimpointCellResult {
 /// which is what makes sharing them across sampling modes safe: a
 /// restored boundary snapshot has no event-stream history to truncate,
 /// unlike the mid-run checkpoints `--ckpt-every` writes to disk.
+/// Bounded like the result cache: past `cap` snapshots the oldest is
+/// evicted first (an evicted stem is simply fast-forwarded again).
 pub(crate) struct CkptMem {
-    map: Mutex<HashMap<String, Arc<Vec<u8>>>>,
+    cap: usize,
+    inner: Mutex<CkptMemInner>,
+}
+
+#[derive(Default)]
+struct CkptMemInner {
+    map: HashMap<String, Arc<Vec<u8>>>,
+    /// Insertion order, oldest first (each stem at most once).
+    order: VecDeque<String>,
 }
 
 impl CkptMem {
-    /// An empty cache.
-    pub(crate) fn new() -> CkptMem {
-        CkptMem { map: Mutex::new(HashMap::new()) }
+    /// An empty cache holding at most `cap` snapshots (at least one).
+    pub(crate) fn new(cap: usize) -> CkptMem {
+        CkptMem { cap: cap.max(1), inner: Mutex::new(CkptMemInner::default()) }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, CkptMemInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The cached snapshot for `stem`, if one exists.
     pub(crate) fn get(&self, stem: &str) -> Option<Arc<Vec<u8>>> {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner).get(stem).cloned()
+        self.lock().map.get(stem).cloned()
     }
 
     /// Caches `bytes` for `stem`; the first snapshot for a stem wins
     /// (identical stems are snapshots of identical simulator states).
     pub(crate) fn put(&self, stem: &str, bytes: Vec<u8>) {
-        self.map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(stem.to_string())
-            .or_insert_with(|| Arc::new(bytes));
+        let mut m = self.lock();
+        if m.map.contains_key(stem) {
+            return;
+        }
+        m.map.insert(stem.to_string(), Arc::new(bytes));
+        m.order.push_back(stem.to_string());
+        while m.order.len() > self.cap {
+            let Some(old) = m.order.pop_front() else { break };
+            m.map.remove(&old);
+        }
     }
 
     /// Number of cached snapshots.
     pub(crate) fn entries(&self) -> usize {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner).len()
+        self.lock().map.len()
+    }
+
+    /// Total bytes of the cached snapshots.
+    pub(crate) fn bytes(&self) -> usize {
+        self.lock().map.values().map(|b| b.len()).sum()
     }
 }
 
@@ -1081,13 +1105,32 @@ mod tests {
 
     #[test]
     fn ckpt_mem_first_snapshot_wins_and_counts() {
-        let mem = CkptMem::new();
+        let mem = CkptMem::new(4);
         assert!(mem.get("s").is_none());
         assert_eq!(mem.entries(), 0);
         mem.put("s", vec![1, 2, 3]);
         mem.put("s", vec![9, 9, 9]);
         assert_eq!(*mem.get("s").expect("cached"), vec![1, 2, 3]);
         assert_eq!(mem.entries(), 1);
+        assert_eq!(mem.bytes(), 3);
+    }
+
+    #[test]
+    fn ckpt_mem_evicts_oldest_past_cap() {
+        let mem = CkptMem::new(2);
+        mem.put("a", vec![0; 10]);
+        mem.put("b", vec![0; 20]);
+        mem.put("a", vec![0; 99]); // already cached: no reinsertion, no refresh
+        mem.put("c", vec![0; 30]);
+        assert!(mem.get("a").is_none(), "the oldest snapshot is evicted");
+        assert!(mem.get("b").is_some() && mem.get("c").is_some());
+        assert_eq!((mem.entries(), mem.bytes()), (2, 50));
+        mem.put("a", vec![0; 5]); // an evicted stem can be cached again
+        assert!(mem.get("b").is_none());
+        assert_eq!((mem.entries(), mem.bytes()), (2, 35));
+        let one = CkptMem::new(0);
+        one.put("x", vec![1]);
+        assert_eq!(one.entries(), 1, "a zero cap still holds one snapshot");
     }
 
     #[test]

@@ -119,7 +119,8 @@ pub struct ServeOpts {
     /// Optional on-disk checkpoint directory (unsampled requests only,
     /// same rule as the batch harness).
     pub ckpt_dir: Option<std::path::PathBuf>,
-    /// Result-cache capacity in entries (FIFO eviction).
+    /// Result-cache capacity in entries (FIFO eviction); the shared
+    /// fast-forward snapshot store is capped at the same count.
     pub cache_cap: usize,
     /// Branch-predictor override for every cell in the universe
     /// (`--bpred`); `None` keeps each cell's configured default.
@@ -284,6 +285,7 @@ impl Server {
             TcpListener::bind(&opts.addr).map_err(|e| format!("bind {}: {e}", opts.addr))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let jobs = opts.jobs.max(1);
+        let ckpt_mem = CkptMem::new(opts.cache_cap);
         let state = Arc::new(State {
             opts,
             pool,
@@ -293,7 +295,7 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             ids: Mutex::new(HashMap::new()),
-            ckpt_mem: CkptMem::new(),
+            ckpt_mem,
             stop: AtomicBool::new(false),
             n: Counters::default(),
             m: Metrics::default(),
@@ -613,7 +615,8 @@ fn stats_line(state: &State) -> String {
             "{{\"type\":\"stats\",\"cells\":{},\"requests\":{},\"hits\":{},\"joins\":{},",
             "\"misses\":{},\"hit_rate_milli\":{},\"rejected\":{},\"timeouts\":{},",
             "\"errors\":{},\"queue\":{},\"running\":{},\"served_cells\":{},",
-            "\"cache_entries\":{},\"ckpt_mem_entries\":{},\"connections\":{}}}"
+            "\"cache_entries\":{},\"ckpt_mem_entries\":{},\"ckpt_mem_bytes\":{},",
+            "\"connections\":{}}}"
         ),
         state.pool.len(),
         requests,
@@ -629,6 +632,7 @@ fn stats_line(state: &State) -> String {
         ld(&n.served_cells),
         cache_entries,
         state.ckpt_mem.entries(),
+        state.ckpt_mem.bytes(),
         ld(&n.connections),
     )
 }
@@ -685,6 +689,11 @@ fn metrics_line(state: &State) -> String {
         "mssr_ckpt_mem_entries",
         "Shared in-memory fast-forward snapshots.",
         state.ckpt_mem.entries() as u64,
+    );
+    r.gauge(
+        "mssr_ckpt_mem_bytes",
+        "Bytes held by the shared in-memory fast-forward snapshots.",
+        state.ckpt_mem.bytes() as u64,
     );
     r.histogram(
         "mssr_request_latency_us",

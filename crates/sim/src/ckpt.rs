@@ -865,6 +865,11 @@ pub(crate) mod machine {
     }
 
     // --- Memory: backing store and cache hierarchy -----------------------
+    //
+    // The backing store is written as its non-zero 4 KiB pages in
+    // ascending order. `MainMemory` tracks which pages were ever written,
+    // so saving walks (and loading zeroes) only that touched footprint;
+    // the bytes are exactly those of a scan over the whole window.
 
     fn save_memory(st: &MachineState, w: &mut CkptWriter) {
         st.memory.ckpt_save(w);

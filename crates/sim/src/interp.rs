@@ -79,6 +79,11 @@ fn write_dst(st: &mut impl ArchState, dst: Option<ArchReg>, v: u64) {
 
 /// Executes the instruction at `pc` against `st`. Returns `None` when
 /// `pc` is outside the program image.
+///
+/// `#[inline]`: left to the heuristic, the fast-forward loop's copy
+/// stops being inlined once memory writes grow, which costs that loop
+/// about 15% of its speed.
+#[inline]
 pub(crate) fn arch_step(program: &Program, pc: Pc, st: &mut impl ArchState) -> Option<ArchOutcome> {
     let inst = *program.fetch(pc)?;
     let a = inst.src1().map_or(0, |r| st.reg(r));

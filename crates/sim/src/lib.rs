@@ -62,6 +62,9 @@ mod lsq;
 mod mem;
 mod pipeline;
 mod prof;
+#[cfg(test)]
+#[path = "../../../tests/common/prop.rs"]
+mod prop;
 mod rename;
 mod rob;
 mod sample;

@@ -4,7 +4,8 @@
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::config::{CacheConfig, SimConfig};
 
-/// Page granule of the sparse checkpoint memory encoding.
+/// Page granule of the sparse checkpoint memory encoding and of the
+/// touched-page bitmap.
 const CKPT_PAGE: usize = 4096;
 
 /// Flat, byte-addressable simulated main memory.
@@ -13,10 +14,18 @@ const CKPT_PAGE: usize = 4096;
 /// wrong-path accesses with garbage addresses (a normal occurrence in an
 /// execution-driven simulator that executes mispredicted paths) never
 /// escape the simulated address space.
-#[derive(Clone, Debug)]
+///
+/// Beside the flat bytes sits a touched-page bitmap, one bit per
+/// [`CKPT_PAGE`], holding one invariant: **a clear bit means the page is
+/// all zero**. The two write paths, [`MainMemory::write_u64`] and the
+/// checkpoint load, set the bits of the pages they write, so snapshot,
+/// restore and clone visit only the touched footprint and never scan or
+/// zero the whole window.
+#[derive(Debug)]
 pub struct MainMemory {
     data: Vec<u8>,
     mask: u64,
+    touched: Vec<u64>,
 }
 
 impl MainMemory {
@@ -27,7 +36,8 @@ impl MainMemory {
     /// Panics if `size` is not a power of two.
     pub fn new(size: usize) -> MainMemory {
         assert!(size.is_power_of_two(), "memory size must be a power of two");
-        MainMemory { data: vec![0; size], mask: size as u64 - 1 }
+        let words = size.div_ceil(CKPT_PAGE).div_ceil(64);
+        MainMemory { data: vec![0; size], mask: size as u64 - 1, touched: vec![0; words] }
     }
 
     /// Wraps an arbitrary 64-bit address into the memory window.
@@ -38,6 +48,15 @@ impl MainMemory {
     /// Reads a little-endian 64-bit word. The address is wrapped; reads
     /// that straddle the wrap point see the window as circular.
     pub fn read_u64(&self, addr: u64) -> u64 {
+        let a = self.wrap(addr) as usize;
+        match self.data.get(a..a + 8) {
+            Some(word) => u64::from_le_bytes(word.try_into().expect("8-byte slice")),
+            None => self.read_u64_wrapping(addr),
+        }
+    }
+
+    #[cold]
+    fn read_u64_wrapping(&self, addr: u64) -> u64 {
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = self.data[self.wrap(addr.wrapping_add(i as u64)) as usize];
@@ -47,6 +66,20 @@ impl MainMemory {
 
     /// Writes a little-endian 64-bit word at a wrapped address.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
+        let a = self.wrap(addr) as usize;
+        match self.data.get_mut(a..a + 8) {
+            Some(word) => word.copy_from_slice(&value.to_le_bytes()),
+            None => self.write_u64_wrapping(addr, value),
+        }
+        // A word spans at most two pages: its first byte's and its last
+        // byte's (which differ when it crosses a page boundary or wraps
+        // past the window end).
+        self.mark(a / CKPT_PAGE);
+        self.mark(self.wrap(addr.wrapping_add(7)) as usize / CKPT_PAGE);
+    }
+
+    #[cold]
+    fn write_u64_wrapping(&mut self, addr: u64, value: u64) {
         for (i, b) in value.to_le_bytes().iter().enumerate() {
             let a = self.wrap(addr.wrapping_add(i as u64)) as usize;
             self.data[a] = *b;
@@ -58,24 +91,36 @@ impl MainMemory {
         self.data.len()
     }
 
+    fn mark(&mut self, page: usize) {
+        self.touched[page / 64] |= 1 << (page % 64);
+    }
+
+    /// The bytes of page `i`.
+    fn page(&self, i: usize) -> &[u8] {
+        &self.data[page_range(i, self.data.len())]
+    }
+
     /// Serializes the memory image sparsely: all-zero 4 KiB pages are
     /// skipped, so a checkpoint costs space proportional to the touched
-    /// footprint, not the configured window.
+    /// footprint, not the configured window. Only touched pages are
+    /// inspected (untouched ones are zero by the bitmap invariant), so
+    /// the cost is proportional to the footprint too.
     pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.data.len() as u64);
-        let pages = self.data.chunks(CKPT_PAGE);
-        let nonzero = pages.clone().filter(|p| p.iter().any(|&b| b != 0)).count();
-        w.u64(nonzero as u64);
-        for (i, page) in pages.enumerate() {
-            if page.iter().any(|&b| b != 0) {
-                w.u64(i as u64);
-                w.bytes(page);
-            }
+        let nonzero: Vec<usize> = touched_pages(&self.touched)
+            .filter(|&i| self.page(i).iter().any(|&b| b != 0))
+            .collect();
+        w.u64(nonzero.len() as u64);
+        for i in nonzero {
+            w.u64(i as u64);
+            w.bytes(self.page(i));
         }
     }
 
     /// Restores the memory image, zeroing everything not present in the
-    /// checkpoint (restore is wholesale, never a partial overlay).
+    /// checkpoint (restore is wholesale, never a partial overlay). Only
+    /// the touched pages need zeroing; the loaded pages become the new
+    /// touched set.
     pub(crate) fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let size = r.u64()? as usize;
         if size != self.data.len() {
@@ -84,24 +129,56 @@ impl MainMemory {
                 self.data.len()
             )));
         }
-        self.data.fill(0);
+        for i in touched_pages(&self.touched) {
+            self.data[page_range(i, size)].fill(0);
+        }
+        self.touched.fill(0);
         let pages = r.seq_len(16)?;
         for _ in 0..pages {
             let i = r.u64()? as usize;
             let bytes = r.bytes()?;
-            let start = i
-                .checked_mul(CKPT_PAGE)
-                .filter(|&s| s < size)
+            let range = (i < size.div_ceil(CKPT_PAGE))
+                .then(|| page_range(i, size))
                 .ok_or_else(|| CkptError::Corrupt(format!("memory page {i} outside the window")))?;
-            if bytes.len() != CKPT_PAGE.min(size - start) {
+            if bytes.len() != range.len() {
                 return Err(CkptError::Corrupt(format!(
                     "memory page {i} has {} bytes",
                     bytes.len()
                 )));
             }
-            self.data[start..start + bytes.len()].copy_from_slice(bytes);
+            self.data[range].copy_from_slice(bytes);
+            self.mark(i);
         }
         Ok(())
+    }
+}
+
+/// The byte range of page `i` in a window of `size` bytes (the only page
+/// of a window smaller than [`CKPT_PAGE`] is short).
+fn page_range(i: usize, size: usize) -> std::ops::Range<usize> {
+    let start = i * CKPT_PAGE;
+    start..(start + CKPT_PAGE).min(size)
+}
+
+/// Indices of the set bits of a touched-page bitmap, ascending.
+fn touched_pages(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter()
+        .enumerate()
+        .flat_map(|(w, &word)| (0..64).filter(move |b| word >> b & 1 != 0).map(move |b| w * 64 + b))
+}
+
+/// Copies only the touched pages into a fresh zeroed window, so a clone
+/// costs the footprint, not the window (the allocator hands back lazily
+/// zeroed pages, which untouched regions never fault in).
+impl Clone for MainMemory {
+    fn clone(&self) -> MainMemory {
+        let mut m = MainMemory::new(self.data.len());
+        for i in touched_pages(&self.touched) {
+            let r = page_range(i, self.data.len());
+            m.data[r.clone()].copy_from_slice(&self.data[r]);
+        }
+        m.touched.clone_from(&self.touched);
+        m
     }
 }
 
@@ -313,6 +390,98 @@ mod tests {
         m.write_u64(0, 0x0102_0304_0506_0708);
         // Overlapping read shifted by one byte.
         assert_eq!(m.read_u64(1) & 0xff, 0x07);
+    }
+
+    /// The pre-bitmap encoder: scans every page of the window.
+    fn reference_ckpt(m: &MainMemory) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        w.u64(m.data.len() as u64);
+        let pages = m.data.chunks(CKPT_PAGE);
+        w.u64(pages.clone().filter(|p| p.iter().any(|&b| b != 0)).count() as u64);
+        for (i, page) in pages.enumerate() {
+            if page.iter().any(|&b| b != 0) {
+                w.u64(i as u64);
+                w.bytes(page);
+            }
+        }
+        w.finish()
+    }
+
+    fn encode(m: &MainMemory) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        m.ckpt_save(&mut w);
+        w.finish()
+    }
+
+    fn assert_untouched_pages_are_zero(m: &MainMemory) {
+        let touched: Vec<usize> = touched_pages(&m.touched).collect();
+        for (i, page) in m.data.chunks(CKPT_PAGE).enumerate() {
+            if !touched.contains(&i) {
+                assert!(page.iter().all(|&b| b == 0), "unmarked page {i} holds data");
+            }
+        }
+    }
+
+    /// Random stores into a 16-page window, biased toward the edge
+    /// cases of the bitmap: page-crossing words, words wrapping past the
+    /// window end, garbage addresses, and zero stores that re-zero a
+    /// page it then must still skip.
+    fn random_stores(rng: &mut crate::prop::Rng, m: &mut MainMemory) {
+        let size = m.size() as u64;
+        let hot: Vec<u64> = (0..4).map(|_| rng.below(size)).collect();
+        for _ in 0..rng.range(1, 120) {
+            let addr = match rng.below(5) {
+                0 => size - 3,
+                1 => (rng.below(size / CKPT_PAGE as u64) + 1) * CKPT_PAGE as u64 - rng.below(8),
+                2 => rng.next_u64(),
+                3 => hot[rng.range(0, hot.len())],
+                _ => rng.below(size),
+            };
+            let value = if rng.chance(1, 3) { 0 } else { rng.next_u64() };
+            m.write_u64(addr, value);
+            assert_eq!(m.read_u64(addr), value, "read-back at {addr:#x}");
+        }
+    }
+
+    #[test]
+    fn touched_page_encoding_matches_full_window_scan() {
+        crate::prop::for_each_case("touched_page_encoding", 200, 0x70c4_ed00, |rng| {
+            let mut m = MainMemory::new(16 * CKPT_PAGE);
+            random_stores(rng, &mut m);
+            assert_untouched_pages_are_zero(&m);
+            let bytes = encode(&m);
+            assert_eq!(bytes, reference_ckpt(&m), "bitmap walk diverged from the full scan");
+
+            // Restoring over a machine with its own (dirtier) footprint
+            // zeroes that footprint and reproduces the image exactly.
+            let mut other = MainMemory::new(m.size());
+            random_stores(rng, &mut other);
+            random_stores(rng, &mut other);
+            let mut r = CkptReader::new(&bytes);
+            other.ckpt_load(&mut r).expect("own encoding restores");
+            r.done().expect("restore consumes the whole encoding");
+            assert!(other.data == m.data, "restored image differs");
+            assert_untouched_pages_are_zero(&other);
+            assert_eq!(encode(&other), bytes, "re-snapshot after restore");
+
+            let c = m.clone();
+            assert!(c.data == m.data, "clone differs");
+            assert_eq!(encode(&c), bytes);
+        });
+    }
+
+    #[test]
+    fn rezeroed_and_wrapping_pages_encode_like_the_full_scan() {
+        let mut m = MainMemory::new(4 * CKPT_PAGE);
+        m.write_u64(CKPT_PAGE as u64 + 8, 5);
+        m.write_u64(CKPT_PAGE as u64 + 8, 0); // page 1: touched, all zero again
+        m.write_u64(m.size() as u64 - 3, u64::MAX); // wraps: last page and page 0
+        assert_eq!(m.read_u64(0), u64::MAX >> 24);
+        let bytes = encode(&m);
+        assert_eq!(bytes, reference_ckpt(&m));
+        let mut r = CkptReader::new(&bytes);
+        assert_eq!(r.u64(), Ok(m.size() as u64));
+        assert_eq!(r.u64(), Ok(2), "the re-zeroed page is skipped");
     }
 
     #[test]

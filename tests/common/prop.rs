@@ -11,16 +11,11 @@
 //! `crates/isa/tests/proptests.rs`), so it must stay dependency-free.
 #![allow(dead_code)]
 
-/// Stateless splitmix64 finalizer (Steele et al., the same mixer
-/// `mssr_workloads::graph::SplitMix64` uses).
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A splitmix64 PRNG stream: the test-side random source.
+/// A splitmix64 PRNG stream (Steele et al., the same mixer
+/// `mssr_workloads::graph::SplitMix64` uses): the test-side random
+/// source. The first output of `Rng::new(x)` is the stateless finalizer
+/// `mssr_bench::harness::splitmix64(x)`; this file cannot depend on
+/// that crate because the crates below it include it too.
 #[derive(Clone, Debug)]
 pub struct Rng {
     state: u64,
@@ -79,7 +74,8 @@ pub fn for_each_case(name: &str, cases: u32, root_seed: u64, prop: impl Fn(&mut 
     }
     let cases = std::env::var("MSSR_PROP_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(cases);
     for case in 0..cases {
-        let seed = splitmix64(root_seed ^ splitmix64(case as u64));
+        let mix = |x| Rng::new(x).next_u64();
+        let seed = mix(root_seed ^ mix(case as u64));
         let mut rng = Rng::new(seed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prop(&mut rng)));
         if let Err(payload) = outcome {

@@ -261,6 +261,35 @@ fn checkpoint_restore_resumes_bit_identically_for_every_engine() {
     }
 }
 
+/// A fast-forward boundary snapshot restored over a machine that has
+/// since run further and touched more memory (including a page the
+/// boundary image never had, and a word wrapping past the window end)
+/// must wipe that extra footprint: the re-snapshot is byte-identical to
+/// the boundary snapshot and the finished run matches a cold one.
+#[test]
+fn boundary_snapshot_restores_over_a_dirtier_machine() {
+    const FFWD: u64 = 2000;
+    let w = microbench::nested_mispred(200);
+    let mut cold = w.instantiate(cfg());
+    cold.fast_forward(FFWD);
+    let cold_stats = w.finish(&mut cold);
+
+    let mut sim = w.instantiate(cfg());
+    sim.fast_forward(FFWD);
+    let boundary = sim.snapshot();
+    sim.run_until_insts(1000);
+    assert!(!sim.is_halted(), "the dirtying run must stop mid-program");
+    let top = cfg().mem_bytes as u64;
+    sim.write_mem_u64(top / 2, 0x5eed);
+    sim.write_mem_u64(top - 3, u64::MAX);
+    assert_ne!(sim.snapshot(), boundary, "the machine must have moved");
+
+    sim.restore(&boundary).expect("boundary snapshot restores");
+    assert_eq!(sim.snapshot(), boundary, "re-snapshot after restore over a dirtier machine");
+    assert_eq!(sim.read_mem_u64(top / 2), 0, "a page outside the boundary image is zeroed");
+    assert_eq!(w.finish(&mut sim).to_json(), cold_stats.to_json(), "restored run diverged");
+}
+
 /// Grid-level checkpointing: `--ffwd` warming is byte-identical across
 /// worker counts and surfaces the skipped work in the cell stats, and a
 /// grid re-run restoring the checkpoints written by `--ckpt-every`

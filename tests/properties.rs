@@ -334,3 +334,13 @@ fn oracle_predictor_never_mispredicts_on_random_programs() {
         assert_eq!(stats.mispredictions, 0, "oracle took a mispredict flush");
     });
 }
+
+/// The property-test stream is the harness's splitmix64: its first
+/// output from any seed is the stateless finalizer the grid derives cell
+/// seeds with, so case seeds and cell seeds mix identically.
+#[test]
+fn prop_rng_first_output_is_the_harness_splitmix64() {
+    for x in [0, 1, 0x4d53_5352, u64::MAX] {
+        assert_eq!(common::prop::Rng::new(x).next_u64(), mssr_bench::harness::splitmix64(x));
+    }
+}
