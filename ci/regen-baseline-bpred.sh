@@ -20,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo run --release --offline -p mssr-bench --bin bpred -- \
+cargo run --release --offline -p mssr-bench --bin mssr -- bpred \
     --scale test --json > ci/baseline-bpred.json
 
 # Sanity: the gate must pass against the file it just produced, and the

@@ -17,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo run --release --offline -p mssr-bench --bin table1 -- \
+cargo run --release --offline -p mssr-bench --bin mssr -- table1 \
     --scale test --json > ci/baseline-table1.json
 
 # Sanity: the gate must pass against the file it just produced, and the

@@ -20,9 +20,9 @@ cargo build --release --offline -p mssr-bench >/dev/null
 now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
 
 t0=$(now_ms)
-./target/release/table1 --scale test --json > /tmp/simpoint-full.json
+./target/release/mssr table1 --scale test --json > /tmp/simpoint-full.json
 t1=$(now_ms)
-./target/release/table1 --scale test --json --simpoint 2000,3 > /tmp/simpoint-sampled.json
+./target/release/mssr table1 --scale test --json --simpoint 2000,3 > /tmp/simpoint-sampled.json
 t2=$(now_ms)
 
 summary=$(./target/release/mssr-report /tmp/simpoint-sampled.json \

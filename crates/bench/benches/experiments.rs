@@ -1,5 +1,5 @@
 //! Harness benches mirroring the paper's experiments, one group per
-//! table/figure, at test scale (the `table1`/`fig10`/… binaries run the
+//! table/figure, at test scale (`mssr table1`, `mssr fig10`, … run the
 //! full medium-scale sweeps; these benches keep `cargo bench` fast while
 //! still exercising every experiment's code path and reporting simulated
 //! runtimes as wall-clock measurements).

@@ -1,8 +1,7 @@
 //! Every table and figure of the paper as an [`Experiment`]: a cell
 //! declaration (into the shared, deduplicated [`CellPool`]) plus a
-//! renderer over the grid's results. The experiment binaries
-//! (`fig3`…`table4`, `ablation`, `rollup`, `run_all`) are thin wrappers
-//! around this registry.
+//! renderer over the grid's results. The `mssr <experiment>|all` binary
+//! runs experiments from this registry.
 
 use mssr_core::storage::{storage, StorageParams};
 use mssr_core::{complexity, MemCheckPolicy};
@@ -14,7 +13,7 @@ use crate::{experiment_sim_config, render_csv, render_table, speedup_pct, Engine
 
 /// One regenerated table or figure.
 pub trait Experiment: Sync {
-    /// The experiment's name (the binary name: `"fig10"`, `"table1"`, …).
+    /// The experiment's name (`mssr`'s first argument: `"fig10"`, `"table1"`, …).
     fn name(&self) -> &'static str;
 
     /// Declares the experiment's cells into the pool, returning their
@@ -26,14 +25,14 @@ pub trait Experiment: Sync {
     fn render(&self, pool: &CellPool, ids: &[CellId], results: &[CellResult]) -> String;
 }
 
-/// Experiment names in `run_all` order (analytic tables first, then the
+/// Experiment names in `mssr all` order (analytic tables first, then the
 /// simulated tables and figures).
 pub const EXPERIMENT_NAMES: [&str; 12] = [
     "table2", "table3", "table4", "table1", "fig3", "fig4", "fig10", "fig11", "fig12", "rollup",
     "ablation", "bpred",
 ];
 
-/// Every experiment, in `run_all` order.
+/// Every experiment, in `mssr all` order.
 pub fn all_experiments() -> Vec<Box<dyn Experiment>> {
     EXPERIMENT_NAMES.iter().map(|n| experiment(n).expect("registered")).collect()
 }

@@ -10,8 +10,8 @@ use std::path::Path;
 
 use mssr_core::{MemCheckPolicy, MssrConfig, MultiStreamReuse, RegisterIntegration, RiConfig};
 use mssr_sim::{
-    fnv1a64, BbvCollector, BpredKind, BufferSink, CycleAccount, ProfReport, ReuseEngine, SimConfig,
-    SimStats, Simulator, TraceEvent, TraceKind, TraceSink, PROF_DEFAULT_STRIDE,
+    fnv1a64, BbvCollector, BpredKind, CycleAccount, ProfReport, ReuseEngine, SimConfig, SimStats,
+    Simulator, TraceEvent, TraceKind, TraceSink, PROF_DEFAULT_STRIDE,
 };
 use mssr_workloads::{Scale, Workload};
 
@@ -306,67 +306,70 @@ impl CkptMem {
 /// to the requesting client while the cell is still running.
 pub(crate) type LiveSink = Box<dyn FnMut(&str) + Send>;
 
-/// The buffer sink of the grid runner: collects raw event lines exactly
-/// like [`BufferSink`] (same bytes, same order) and additionally feeds
-/// each line to an optional live observer.
-struct CallbackSink {
-    buf: Arc<Mutex<String>>,
+/// A cell's event buffer plus its optional live observer, shared by the
+/// sinks of all the cell's segments so their events concatenate in plan
+/// order.
+struct EventBuf {
+    text: String,
     live: Option<LiveSink>,
 }
+
+/// The grid's trace sink: feeds each raw event line to the live
+/// observer, then appends it to the cell's buffer (the bytes and order
+/// of a [`mssr_sim::BufferSink`]).
+struct CallbackSink(Arc<Mutex<EventBuf>>);
 
 impl TraceSink for CallbackSink {
     fn record(&mut self, ev: &TraceEvent) {
         let line = ev.to_json();
-        if let Some(f) = &mut self.live {
+        let mut b = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(f) = &mut b.live {
             f(&line);
         }
-        let mut b = self.buf.lock().unwrap_or_else(PoisonError::into_inner);
-        b.push_str(&line);
-        b.push('\n');
+        b.text.push_str(&line);
+        b.text.push('\n');
     }
 }
 
-/// How to execute one cell — the per-run subset of [`HarnessOpts`] plus
-/// the serve-only in-memory checkpoint cache. Batch runs build one from
-/// their options; `mssr-serve` builds one per request.
-pub(crate) struct CellRun<'a> {
-    /// Record the full pipeline event trace.
-    pub trace: bool,
-    /// Interval-sampling period in cycles (`0` = off).
-    pub sample: u64,
+/// Where a segment's measured region ends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Stop {
+    /// Run to halt through [`Workload::finish`] (which verifies the
+    /// architectural results); the whole detailed run is measured.
+    Halt,
+    /// Measure this many committed instructions after the warm-up.
+    Insts(u64),
+}
+
+/// One step of a cell's execution plan: a fresh simulator is restored or
+/// fast-forwarded to `ffwd` instructions, runs `warm` detailed
+/// instructions whose counters are discarded, then is measured until
+/// `stop`. A whole-program run is one `Halt` segment; `--simpoint` runs
+/// one `Insts` segment per representative interval.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Segment {
     /// Functional fast-forward depth in instructions.
-    pub ffwd: u64,
-    /// On-disk checkpoint directory (already `None` under trace/sample).
-    pub ckpt_dir: Option<&'a Path>,
-    /// Periodic checkpoint-save period (`0` = off).
-    pub ckpt_every: u64,
-    /// Record wall-clock simulated MIPS into the stats.
-    pub timing: bool,
-    /// Arm the simulator's per-stage self-profiler and return a
-    /// [`CellProfile`] with the result (out-of-band; simulated output is
-    /// byte-identical either way).
-    pub profile: bool,
-    /// Shared in-memory cache of fast-forward boundary snapshots.
-    pub ckpt_mem: Option<&'a CkptMem>,
+    ffwd: u64,
+    /// Detailed warm-up instructions (`Insts` segments only).
+    warm: u64,
+    /// The end of the measured region.
+    stop: Stop,
 }
 
-impl<'a> CellRun<'a> {
-    /// The batch harness's execution parameters: disk checkpoints only,
-    /// disabled under `--trace`/`--sample` (a restored mid-run
-    /// checkpoint would emit only the tail of its event stream).
-    pub(crate) fn from_opts(opts: &'a HarnessOpts) -> CellRun<'a> {
-        let ckpt_dir = if opts.trace || opts.sample > 0 { None } else { opts.ckpt_dir.as_deref() };
-        CellRun {
-            trace: opts.trace,
-            sample: opts.sample,
-            ffwd: opts.ffwd,
-            ckpt_dir,
-            ckpt_every: opts.ckpt_every,
-            timing: opts.timing,
-            profile: opts.profile,
-            ckpt_mem: None,
-        }
+impl Segment {
+    /// The plan of a whole-program run: fast-forward, then run to halt.
+    pub(crate) fn to_halt(ffwd: u64) -> Segment {
+        Segment { ffwd, warm: 0, stop: Stop::Halt }
     }
+}
+
+/// One segment's measured region, as the executor reports it back to
+/// the plan's producer.
+pub(crate) struct Measured {
+    /// Detailed warm-up instructions committed before the region.
+    warmup_insts: u64,
+    /// The region's counters (warm-up subtracted).
+    stats: SimStats,
 }
 
 /// The shared cell pool of one harness invocation.
@@ -474,18 +477,43 @@ impl CellPool {
     /// Runs every cell across `opts.jobs` workers; `results[i]` is cell
     /// `i`'s result regardless of which worker ran it or when.
     pub fn run(&self, opts: &HarnessOpts) -> Vec<CellResult> {
-        if opts.ckpt_dir.is_some() && (opts.trace || opts.sample > 0) {
-            warn(
-                "--ckpt-dir is ignored under --trace/--sample (a restored run would emit only the tail of its event stream)",
-            );
-        }
         let plans = opts.simpoint.map(|_| self.simpoint_plans(opts));
         run_cells(self.cells.len(), opts.jobs, |i| {
             let seed = cell_seed(opts.root_seed, i as u64);
-            match plans.as_ref().and_then(|p| p[self.cells[i].workload].as_ref()) {
-                Some(plan) => self.run_cell_simpoint(i, seed, opts, plan),
-                None => self.run_cell(i, seed, opts),
-            }
+            let Some(sp) = plans.as_ref().and_then(|p| p[self.cells[i].workload].as_ref()) else {
+                return self.run_cell(i, seed, &[Segment::to_halt(opts.ffwd)], opts, None, None).0;
+            };
+            // Detailed warm-up: back each fast-forward off by a quarter
+            // interval (bounded by the program start) so the measured
+            // region runs on a filled pipeline.
+            let plan: Vec<Segment> = sp
+                .reps
+                .iter()
+                .map(|rep| {
+                    let warm = (sp.interval / SIMPOINT_WARMUP_DIV).min(rep.start_inst);
+                    Segment { ffwd: rep.start_inst - warm, warm, stop: Stop::Insts(rep.insts) }
+                })
+                .collect();
+            let (mut res, measured) = self.run_cell(i, seed, &plan, opts, None, None);
+            let reps = sp.reps.iter().zip(measured).map(|(rep, m)| SimpointRep {
+                index: rep.index,
+                start_inst: rep.start_inst,
+                planned_insts: rep.insts,
+                weight_insts: rep.weight_insts,
+                spread_milli: rep.spread_milli,
+                warmup_insts: m.warmup_insts,
+                cycles: m.stats.cycles,
+                insts: m.stats.committed_instructions,
+                account: m.stats.account,
+            });
+            res.simpoint = Some(SimpointCellResult {
+                interval: sp.interval,
+                total_insts: sp.total_insts,
+                n_intervals: sp.n_intervals,
+                k: sp.k,
+                reps: reps.collect(),
+            });
+            res
         })
     }
 
@@ -538,170 +566,41 @@ impl CellPool {
         format!("{:016x}", key)
     }
 
-    fn run_cell(&self, i: CellId, seed: u64, opts: &HarnessOpts) -> CellResult {
-        self.run_cell_with(i, seed, &CellRun::from_opts(opts), None)
-    }
-
-    /// Runs one cell under explicit execution parameters, optionally
-    /// feeding each raw trace line to `live` as it is emitted. This is
-    /// the shared execution path of the batch harness and `mssr-serve`,
-    /// which is what keeps served results byte-identical to batch
-    /// trajectories.
-    pub(crate) fn run_cell_with(
+    /// Runs cell `i` through `plan` — the one execution path of batch,
+    /// `--simpoint` and `mssr-serve` cells, which is what keeps served
+    /// results byte-identical to batch trajectories. Each segment starts
+    /// a fresh simulator at its fast-forward depth (restoring a snapshot
+    /// when one is available), runs the detailed warm-up and measures
+    /// until its stop point; the cell's stats are the field-wise sum of
+    /// the measured regions, also returned one per segment. `mem` is
+    /// serve's shared boundary-snapshot cache; `live` sees each raw event
+    /// line as it is emitted.
+    pub(crate) fn run_cell(
         &self,
         i: CellId,
         seed: u64,
-        rp: &CellRun<'_>,
-        live: Option<LiveSink>,
-    ) -> CellResult {
-        let spec = &self.cells[i];
-        let w = &self.workloads[spec.workload];
-        let trace = rp.trace;
-        let sample = rp.sample;
-        // When tracing or sampling, events go into a per-cell buffer whose
-        // handle we keep; the simulator consumes the sink itself. Without
-        // `--trace` the sink's kind mask admits sample events only.
-        let (sink, buf) = if trace || sample > 0 {
-            let buf = Arc::new(Mutex::new(String::new()));
-            (Some(CallbackSink { buf: Arc::clone(&buf), live }), Some(buf))
-        } else {
-            (None, None)
-        };
-        let mut ckpt_skips: Vec<String> = Vec::new();
-        let run = |engine: Option<Box<dyn ReuseEngine>>, skips: &mut Vec<String>| {
-            let mut sim = match engine {
-                Some(e) => w.instantiate_with(spec.cfg.clone(), e),
-                None => w.instantiate(spec.cfg.clone()),
-            };
-            if rp.profile {
-                sim.set_profiling(PROF_DEFAULT_STRIDE);
-            }
-            if sample > 0 {
-                sim.set_sample_interval(sample);
-            }
-            let mask = if !trace && sample > 0 { TraceKind::Sample.bit() } else { !0 };
-            let stem = self.ckpt_stem(spec, seed, rp.ffwd);
-            // The shared-memory restore runs *before* the sink attaches:
-            // the donor may have checkpointed under a different trace
-            // configuration, and nothing it replays (including the
-            // restore event itself) belongs in this run's stream. A cold
-            // run's stream starts with the fast-forward event, which
-            // `rearm_tracing` re-emits below once the sink is live.
-            let mut restored = false;
-            if let Some(mem) = rp.ckpt_mem {
-                if let Some(bytes) = mem.get(&stem) {
-                    match sim.restore(&bytes) {
-                        Ok(()) => restored = true,
-                        Err(e) => skips.push(format!("<memory snapshot>: {e}")),
-                    }
-                }
-            }
-            if let Some(s) = sink {
-                sim.set_trace_sink(Box::new(s));
-                if !trace {
-                    sim.set_trace_mask(mask);
-                }
-            }
-            if restored {
-                // A checkpoint restores its saver's sampler interval,
-                // trace mask, and event counters; re-assert this run's.
-                // The snapshot is a fast-forward boundary — zero detailed
-                // cycles behind it — so a fresh sampler plus the re-armed
-                // tracer is exactly the state a cold run of this
-                // configuration has here.
-                sim.set_sample_interval(sample);
-                sim.rearm_tracing(mask);
-            }
-            if !restored {
-                if let Some(dir) = rp.ckpt_dir {
-                    let (ok, disk_skips) = restore_newest_ckpt(&mut sim, dir, &stem);
-                    skips.extend(disk_skips);
-                    restored = ok;
-                }
-            }
-            if !restored && rp.ffwd > 0 {
-                sim.fast_forward(rp.ffwd);
-                // The boundary state is the shareable artifact: every
-                // later request for this cell identity (any sampling
-                // mode) can start detailed simulation from it.
-                if let Some(mem) = rp.ckpt_mem {
-                    mem.put(&stem, sim.snapshot());
-                }
-            }
-            if let Some(dir) = rp.ckpt_dir.filter(|_| rp.ckpt_every > 0) {
-                save_periodic_ckpts(&mut sim, dir, &stem, rp.ckpt_every);
-            }
-            let stats = w.finish(&mut sim);
-            let prof = sim.profile_report();
-            (stats, prof)
-        };
-        let started = (rp.timing || rp.profile).then(std::time::Instant::now);
-        let (mut stats, prof, ri_set_replacements) = match spec.engine.build_ri() {
-            Some(ri) => {
-                // Keep the replacement-counter handle across the run
-                // (fig3's per-set replacement-frequency data).
-                let counters = ri.replacement_counters();
-                let (stats, prof) = run(Some(Box::new(ri)), &mut ckpt_skips);
-                let snapshot = counters.borrow().clone();
-                (stats, prof, Some(snapshot))
-            }
-            None => {
-                let (stats, prof) = run(spec.engine.build(), &mut ckpt_skips);
-                (stats, prof, None)
-            }
-        };
-        let total_us = started.map(|t0| (t0.elapsed().as_micros().max(1) as u64).max(1));
-        if rp.timing {
-            // MIPS = insts / µs; thousandths keep the trajectory integer.
-            let us = total_us.expect("timed above");
-            stats.engine.sim_mips_milli =
-                (stats.committed_instructions.saturating_mul(1000) / us).max(1);
-        }
-        let profile = rp
-            .profile
-            .then(|| CellProfile { total_us: total_us.expect("timed above"), report: prof });
-        record_ckpt_skips(&mut stats, &ckpt_skips, i, w.name(), &spec.engine.label());
-        let trace = buf.map(|b| std::mem::take(&mut *b.lock().expect("trace buffer poisoned")));
-        CellResult { seed, stats, ri_set_replacements, trace, simpoint: None, profile }
-    }
-
-    /// Runs one cell in SimPoint mode: for each representative interval
-    /// of the workload's plan, fast-forward (or restore a checkpoint) to
-    /// the interval start, simulate the interval in detail, and record
-    /// its cycles and CPI account. The cell's `stats` become the
-    /// field-wise sum over representatives; reconstruction to
-    /// whole-program CPI happens in `mssr-report` using the weights.
-    fn run_cell_simpoint(
-        &self,
-        i: CellId,
-        seed: u64,
+        plan: &[Segment],
         opts: &HarnessOpts,
-        plan: &SimpointPlan,
-    ) -> CellResult {
+        mem: Option<&CkptMem>,
+        live: Option<LiveSink>,
+    ) -> (CellResult, Vec<Measured>) {
         let spec = &self.cells[i];
         let w = &self.workloads[spec.workload];
-        let trace = opts.trace;
-        let sample = opts.sample;
-        // Same rule as the plain path: checkpoint traffic is disabled
-        // under --trace/--sample (a restored run would emit only the tail
-        // of its event stream).
-        let ckpt_dir = if trace || sample > 0 { None } else { opts.ckpt_dir.as_deref() };
+        // Without `--trace` the sink's kind mask admits sample events only.
+        let events = opts.trace || opts.sample > 0;
+        let mask = if !opts.trace && opts.sample > 0 { TraceKind::Sample.bit() } else { !0 };
+        let buf = events.then(|| Arc::new(Mutex::new(EventBuf { text: String::new(), live })));
+        let dir = opts.ckpt_dir.as_deref();
         let started = (opts.timing || opts.profile).then(std::time::Instant::now);
         let mut stats = SimStats::default();
-        let mut ri_set_replacements: Option<Vec<u64>> = None;
-        let mut trace_out = String::new();
-        let mut ckpt_skips: Vec<String> = Vec::new();
         let mut prof = ProfReport::default();
-        let mut reps = Vec::with_capacity(plan.reps.len());
-        for rep in &plan.reps {
-            let (sink, buf) = if trace || sample > 0 {
-                let sink = BufferSink::new();
-                let handle = sink.handle();
-                (Some(sink), Some(handle))
-            } else {
-                (None, None)
-            };
+        let mut ri_set_replacements: Option<Vec<u64>> = None;
+        let mut skips: Vec<String> = Vec::new();
+        let mut measured = Vec::with_capacity(plan.len());
+        for seg in plan {
             let ri = spec.engine.build_ri();
+            // Keep the replacement-counter handle across the run (fig3's
+            // per-set replacement-frequency data).
             let counters = ri.as_ref().map(RegisterIntegration::replacement_counters);
             let engine = match ri {
                 Some(r) => Some(Box::new(r) as Box<dyn ReuseEngine>),
@@ -714,86 +613,83 @@ impl CellPool {
             if opts.profile {
                 sim.set_profiling(PROF_DEFAULT_STRIDE);
             }
-            if sample > 0 {
-                sim.set_sample_interval(sample);
+            if opts.sample > 0 {
+                sim.set_sample_interval(opts.sample);
             }
-            if let Some(s) = sink {
-                sim.set_trace_sink(Box::new(s));
-                if !trace {
-                    sim.set_trace_mask(TraceKind::Sample.bit());
+            let stem = self.ckpt_stem(spec, seed, seg.ffwd);
+            // The checkpoint rule of every mode: runs that record events,
+            // and instruction-bounded segments, resume from fast-forward
+            // boundaries only. A mid-run snapshot cannot replay the events
+            // (or the warm-up) before it; a boundary has none behind it.
+            let mid_run = !events && seg.stop == Stop::Halt;
+            // Restore before the sink attaches: the donor may have saved
+            // under a different trace configuration, and nothing it
+            // replays (the restore event included) belongs in this run's
+            // stream.
+            let restored = restore_ckpt(&mut sim, &stem, mid_run, dir, mem, &mut skips);
+            if let Some(b) = &buf {
+                sim.set_trace_sink(Box::new(CallbackSink(Arc::clone(b))));
+                sim.set_trace_mask(mask);
+            }
+            if restored && sim.cycle() == 0 {
+                // A snapshot carries its saver's sampler, trace mask and
+                // event counters. At a boundary — zero detailed cycles
+                // behind it — a fresh sampler plus the re-armed tracer
+                // (which re-emits the fast-forward event) is exactly the
+                // state a cold run of this configuration has here.
+                sim.set_sample_interval(opts.sample);
+                sim.rearm_tracing(mask);
+            }
+            if !restored && seg.ffwd > 0 {
+                sim.fast_forward(seg.ffwd);
+                // The boundary is the shareable artifact: any later run of
+                // this cell identity, in any sampling mode, can start its
+                // detailed simulation from it.
+                if let Some(dir) = dir {
+                    write_ckpt(&sim, dir, &stem);
+                }
+                if let Some(mem) = mem {
+                    mem.put(&stem, sim.snapshot());
                 }
             }
-            // Detailed warmup: back the fast-forward off by a quarter
-            // interval (bounded by the program start) so the measured
-            // region runs on a filled pipeline; its counters are
-            // subtracted out below.
-            let warm = (plan.interval / SIMPOINT_WARMUP_DIV).min(rep.start_inst);
-            let ffwd = rep.start_inst - warm;
-            // One checkpoint per representative: the stem hashes the
-            // detailed-run start as its fast-forward depth, exactly the
-            // stems the PR 4 machinery restores from.
-            let stem = self.ckpt_stem(spec, seed, ffwd);
-            let restored = match ckpt_dir {
-                Some(dir) => {
-                    let (ok, skips) = restore_newest_ckpt(&mut sim, dir, &stem);
-                    ckpt_skips.extend(skips);
-                    ok
+            let (st, warmup_insts) = match seg.stop {
+                Stop::Halt => {
+                    if let Some(dir) = dir.filter(|_| mid_run && opts.ckpt_every > 0) {
+                        save_periodic_ckpts(&mut sim, dir, &stem, opts.ckpt_every);
+                    }
+                    (w.finish(&mut sim), 0)
                 }
-                None => false,
+                Stop::Insts(n) => {
+                    sim.run_until_insts(seg.warm);
+                    let warm = sim.stats();
+                    sim.run_until_insts(warm.committed_instructions + n);
+                    let mut st = sim.stats();
+                    if sim.take_trace_sink().is_some() {
+                        st = sim.stats(); // trace_* counters final only after flush
+                    }
+                    // The measured region is the post-warm-up delta; the
+                    // warm-up and the fast-forward count as skipped work.
+                    let mut delta = st.clone();
+                    merge_stats(&mut delta, &warm, u64::saturating_sub);
+                    delta.ffwd_insts = st.ffwd_insts + warm.committed_instructions;
+                    delta.skipped_cycles = st.skipped_cycles + warm.cycles;
+                    (delta, warm.committed_instructions)
+                }
             };
-            if !restored {
-                if ffwd > 0 {
-                    sim.fast_forward(ffwd);
-                }
-                if let Some(dir) = ckpt_dir {
-                    save_ckpt_once(&sim, dir, &stem);
-                }
-            }
-            if warm > 0 {
-                sim.run_until_insts(warm);
-            }
-            let warm_stats = sim.stats();
-            sim.run_until_insts(warm_stats.committed_instructions + rep.insts);
-            let mut st = sim.stats();
-            if sim.take_trace_sink().is_some() {
-                st = sim.stats(); // trace_* counters final only after flush
-            }
-            // The measured region is the post-warmup delta; the warmup
-            // and functional fast-forward are reported as skipped work.
-            let mut delta = st.clone();
-            merge_stats(&mut delta, &warm_stats, u64::saturating_sub);
-            delta.ffwd_insts = st.ffwd_insts + warm_stats.committed_instructions;
-            delta.skipped_cycles = st.skipped_cycles + warm_stats.cycles;
             if let Some(c) = counters {
                 let snap = c.borrow();
                 match &mut ri_set_replacements {
-                    Some(acc) => {
-                        for (a, b) in acc.iter_mut().zip(snap.iter()) {
-                            *a += b;
-                        }
-                    }
+                    Some(acc) => acc.iter_mut().zip(snap.iter()).for_each(|(a, b)| *a += b),
                     None => ri_set_replacements = Some(snap.clone()),
                 }
             }
-            if let Some(b) = buf {
-                trace_out.push_str(&std::mem::take(&mut *b.lock().expect("trace buffer poisoned")));
-            }
-            reps.push(SimpointRep {
-                index: rep.index,
-                start_inst: rep.start_inst,
-                planned_insts: rep.insts,
-                weight_insts: rep.weight_insts,
-                spread_milli: rep.spread_milli,
-                warmup_insts: warm_stats.committed_instructions,
-                cycles: delta.cycles,
-                insts: delta.committed_instructions,
-                account: delta.account,
-            });
-            merge_stats(&mut stats, &delta, u64::wrapping_add);
+            merge_stats(&mut stats, &st, u64::wrapping_add);
             prof.merge(&sim.profile_report());
+            measured.push(Measured { warmup_insts, stats: st });
         }
         let total_us = started.map(|t0| (t0.elapsed().as_micros().max(1) as u64).max(1));
         if opts.timing {
+            // MIPS = insts / µs; thousandths keep the trajectory integer.
             let us = total_us.expect("timed above");
             stats.engine.sim_mips_milli =
                 (stats.committed_instructions.saturating_mul(1000) / us).max(1);
@@ -801,16 +697,9 @@ impl CellPool {
         let profile = opts
             .profile
             .then(|| CellProfile { total_us: total_us.expect("timed above"), report: prof });
-        record_ckpt_skips(&mut stats, &ckpt_skips, i, w.name(), &spec.engine.label());
-        let trace = (trace || sample > 0).then_some(trace_out);
-        let simpoint = Some(SimpointCellResult {
-            interval: plan.interval,
-            total_insts: plan.total_insts,
-            n_intervals: plan.n_intervals,
-            k: plan.k,
-            reps,
-        });
-        CellResult { seed, stats, ri_set_replacements, trace, simpoint, profile }
+        record_ckpt_skips(&mut stats, &skips, i, w.name(), &spec.engine.label());
+        let trace = buf.map(|b| std::mem::take(&mut b.lock().expect("trace buffer poisoned").text));
+        (CellResult { seed, stats, ri_set_replacements, trace, simpoint: None, profile }, measured)
     }
 }
 
@@ -878,22 +767,6 @@ fn merge_stats(a: &mut SimStats, b: &SimStats, f: fn(u64, u64) -> u64) {
         f(a.account.credit_recon_fetches, b.account.credit_recon_fetches);
 }
 
-/// Saves the simulator's current state as `{stem}.{committed}.ckpt` in
-/// `dir` unless that file already exists (tmp+rename, like the periodic
-/// saver, so concurrent cells never see a torn file).
-fn save_ckpt_once(sim: &Simulator, dir: &Path, stem: &str) {
-    let _ = std::fs::create_dir_all(dir);
-    let committed = sim.stats().committed_instructions;
-    let path = dir.join(format!("{stem}.{committed}.ckpt"));
-    if path.exists() {
-        return;
-    }
-    let tmp = dir.join(format!("{stem}.{committed}.ckpt.tmp"));
-    if std::fs::write(&tmp, sim.snapshot()).is_ok() {
-        let _ = std::fs::rename(&tmp, &path);
-    }
-}
-
 /// Reports a cell's skipped-checkpoint tally: one stderr warning naming
 /// every skipped file and its [`mssr_sim::CkptError`], plus a
 /// `ckpt_restore_skips` counter in the cell's `EngineStats::extra` so
@@ -911,23 +784,51 @@ fn record_ckpt_skips(stats: &mut SimStats, skips: &[String], i: CellId, w: &str,
     stats.engine.extra.push(("ckpt_restore_skips".to_string(), skips.len() as u64));
 }
 
-/// Restores the newest valid checkpoint for `stem` from `dir` into `sim`.
-/// Invalid or mismatched files (corruption, a different build's config)
-/// are skipped in favour of the next-newest; with none valid the cell
-/// just runs from scratch — checkpoints are an accelerator, never a
-/// correctness dependency. Each skipped file is reported back as
-/// `"<name>: <reason>"` so the caller can surface the degradation
-/// instead of silently eating the cold-start cost.
-fn restore_newest_ckpt(sim: &mut Simulator, dir: &Path, stem: &str) -> (bool, Vec<String>) {
-    let mut skips = Vec::new();
-    let Ok(entries) = std::fs::read_dir(dir) else { return (false, skips) };
+/// The one checkpoint-restore step: the shared in-memory boundary
+/// snapshot for `stem` if `mem` holds one, else the newest valid file
+/// for `stem` in `dir`. `mid_run` admits periodic (mid-run) checkpoints;
+/// without it only the fast-forward boundary `{stem}.0.ckpt` qualifies.
+/// Every snapshot that fails to restore is reported into `skips`.
+fn restore_ckpt(
+    sim: &mut Simulator,
+    stem: &str,
+    mid_run: bool,
+    dir: Option<&Path>,
+    mem: Option<&CkptMem>,
+    skips: &mut Vec<String>,
+) -> bool {
+    if let Some(bytes) = mem.and_then(|m| m.get(stem)) {
+        match sim.restore(&bytes) {
+            Ok(()) => return true,
+            Err(e) => skips.push(format!("<memory snapshot>: {e}")),
+        }
+    }
+    dir.is_some_and(|dir| restore_newest_ckpt(sim, dir, stem, mid_run, skips))
+}
+
+/// Restores the newest valid checkpoint for `stem` from `dir` into `sim`
+/// (boundary files only unless `mid_run`). Invalid or mismatched files
+/// (corruption, a different build's config) are skipped in favour of the
+/// next-newest; with none valid the cell just runs from scratch —
+/// checkpoints are an accelerator, never a correctness dependency. Each
+/// skipped file is reported as `"<name>: <reason>"` so the caller can
+/// surface the degradation instead of silently eating the cold-start
+/// cost.
+fn restore_newest_ckpt(
+    sim: &mut Simulator,
+    dir: &Path,
+    stem: &str,
+    mid_run: bool,
+    skips: &mut Vec<String>,
+) -> bool {
+    let Ok(entries) = std::fs::read_dir(dir) else { return false };
     let mut found: Vec<(u64, std::path::PathBuf)> = entries
         .filter_map(|e| {
             let path = e.ok()?.path();
             let name = path.file_name()?.to_str()?;
             let rest = name.strip_prefix(stem)?.strip_prefix('.')?;
             let insts: u64 = rest.strip_suffix(".ckpt")?.parse().ok()?;
-            Some((insts, path))
+            (mid_run || insts == 0).then_some((insts, path))
         })
         .collect();
     found.sort_unstable_by_key(|&(insts, _)| std::cmp::Reverse(insts));
@@ -941,34 +842,41 @@ fn restore_newest_ckpt(sim: &mut Simulator, dir: &Path, stem: &str) -> (bool, Ve
             }
         };
         match sim.restore(&bytes) {
-            Ok(()) => return (true, skips),
+            Ok(()) => return true,
             Err(e) => skips.push(format!("{name}: {e}")),
         }
     }
-    (false, skips)
+    false
+}
+
+/// Saves `sim` as `{stem}.{committed}.ckpt` in `dir` unless that file
+/// exists. Files are written to a temporary name and renamed into place
+/// so concurrent readers never see a torn file.
+fn write_ckpt(sim: &Simulator, dir: &Path, stem: &str) {
+    let committed = sim.stats().committed_instructions;
+    let path = dir.join(format!("{stem}.{committed}.ckpt"));
+    if path.exists() {
+        return;
+    }
+    let _ = std::fs::create_dir_all(dir);
+    let tmp = dir.join(format!("{stem}.{committed}.ckpt.tmp"));
+    if std::fs::write(&tmp, sim.snapshot()).is_ok() {
+        let _ = std::fs::rename(&tmp, &path);
+    }
 }
 
 /// Runs `sim` to completion, saving a checkpoint into `dir` every
-/// `every` committed instructions. Files are written to a temporary name
-/// and renamed into place so concurrent readers never see a torn file.
+/// `every` committed instructions.
 fn save_periodic_ckpts(sim: &mut Simulator, dir: &Path, stem: &str, every: u64) {
-    let _ = std::fs::create_dir_all(dir);
     loop {
         let committed = sim.stats().committed_instructions;
         sim.run_until_insts(committed + every);
-        let now = sim.stats().committed_instructions;
-        if sim.is_halted() || now < committed + every {
+        if sim.is_halted() || sim.stats().committed_instructions < committed + every {
             // Halted, or stopped short (cycle bound): the final state is
             // the run's result, not a resume point worth saving.
             return;
         }
-        let path = dir.join(format!("{stem}.{now}.ckpt"));
-        if !path.exists() {
-            let tmp = dir.join(format!("{stem}.{now}.ckpt.tmp"));
-            if std::fs::write(&tmp, sim.snapshot()).is_ok() {
-                let _ = std::fs::rename(&tmp, &path);
-            }
-        }
+        write_ckpt(sim, dir, stem);
     }
 }
 
@@ -1077,14 +985,22 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("scratch dir");
         std::fs::write(dir.join("aa.100.ckpt"), b"definitely not a checkpoint").unwrap();
         std::fs::write(dir.join("aa.50.ckpt"), b"also garbage").unwrap();
+        std::fs::write(dir.join("aa.0.ckpt"), b"a garbage boundary").unwrap();
         std::fs::write(dir.join("bb.100.ckpt"), b"other stem, ignored").unwrap();
         let w = microbench::nested_mispred(10);
         let mut sim = w.instantiate(SimConfig::default().with_max_cycles(100_000));
-        let (ok, skips) = restore_newest_ckpt(&mut sim, &dir, "aa");
+        let mut skips = Vec::new();
+        let ok = restore_newest_ckpt(&mut sim, &dir, "aa", true, &mut skips);
         assert!(!ok, "garbage files must not restore");
-        assert_eq!(skips.len(), 2, "every invalid file for the stem is reported: {skips:?}");
+        assert_eq!(skips.len(), 3, "every invalid file for the stem is reported: {skips:?}");
         assert!(skips[0].contains("aa.100.ckpt"), "newest first: {skips:?}");
         assert!(skips[1].contains("aa.50.ckpt"), "{skips:?}");
+        assert!(skips[2].contains("aa.0.ckpt"), "{skips:?}");
+        // Boundary-only restores never consider mid-run checkpoints.
+        skips.clear();
+        assert!(!restore_newest_ckpt(&mut sim, &dir, "aa", false, &mut skips));
+        assert_eq!(skips.len(), 1, "{skips:?}");
+        assert!(skips[0].contains("aa.0.ckpt"), "{skips:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

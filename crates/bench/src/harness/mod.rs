@@ -69,7 +69,7 @@ pub fn cell_seed(root_seed: u64, cell: u64) -> u64 {
     splitmix64(root_seed ^ splitmix64(cell))
 }
 
-/// Harness invocation options, shared by every experiment binary.
+/// Harness invocation options, shared by every experiment.
 #[derive(Clone, Debug)]
 pub struct HarnessOpts {
     /// Worker threads for the grid (default: available parallelism).
@@ -88,16 +88,18 @@ pub struct HarnessOpts {
     /// sample events in the trajectory (requires `--json`).
     pub sample: u64,
     /// Checkpoint directory (`--ckpt-dir`): cells restore the newest
-    /// valid checkpoint found there and save new ones per `ckpt_every`.
-    /// Checkpoint traffic is disabled under `--trace`/`--sample` — a
-    /// restored run would emit only the tail of its event stream.
+    /// valid checkpoint found there, save their fast-forward boundary
+    /// snapshot, and save periodic ones per `ckpt_every`. Runs under
+    /// `--trace`/`--sample` use boundary snapshots only — a mid-run
+    /// restore would emit only the tail of its event stream.
     pub ckpt_dir: Option<std::path::PathBuf>,
     /// Functional fast-forward (`--ffwd N`): execute the first N
     /// instructions of every cell architecturally (warming branch
     /// predictor and caches) before detailed simulation.
     pub ffwd: u64,
     /// Checkpoint period (`--ckpt-every N`): while running a cell, save a
-    /// checkpoint into `ckpt_dir` every N committed instructions.
+    /// checkpoint into `ckpt_dir` every N committed instructions (runs
+    /// that record no events only).
     pub ckpt_every: u64,
     /// SimPoint sampling (`--simpoint INTERVAL,MAXK`): a functional pass
     /// collects basic-block vectors per `INTERVAL` instructions, k-means
@@ -143,25 +145,34 @@ impl HarnessOpts {
         }
     }
 
-    /// Parses CLI arguments (`--jobs N`, `--seed S`, `--scale
-    /// test|medium|large`, `--json`, `--trace`, `--sample N`, `--help`).
-    /// The scale defaults to `MSSR_SCALE` when set, then to
-    /// `default_scale`.
+    /// Parses an `mssr <experiment>|all [flags]` command line into the
+    /// experiments to run and the harness options (`--jobs N`, `--seed
+    /// S`, `--scale test|medium|large`, `--json`, `--trace`, `--sample
+    /// N`, `--help`, …). The scale defaults to `MSSR_SCALE` when set,
+    /// then to `default_scale`.
     ///
     /// # Panics
     ///
-    /// Exits the process with usage on an unknown or malformed argument.
-    pub fn parse_args(default_scale: Scale) -> HarnessOpts {
-        match Self::from_iter(std::env::args().skip(1), crate::scale_from_env(default_scale)) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                if msg != "help" {
-                    eprintln!("{msg}");
-                }
-                eprintln!("{USAGE}");
-                std::process::exit(if msg == "help" { 0 } else { 2 });
+    /// Exits the process with usage on an unknown experiment or an
+    /// unknown or malformed argument (status 2; `--help` exits 0).
+    pub fn parse_args(default_scale: Scale) -> (Vec<Box<dyn Experiment>>, HarnessOpts) {
+        let mut args = std::env::args().skip(1);
+        let exps = match args.next().as_deref() {
+            Some("all") => Ok(all_experiments()),
+            Some("--help" | "-h") => Err("help".to_string()),
+            Some(n) => experiment(n).map(|e| vec![e]).ok_or(format!("unknown experiment `{n}`")),
+            None => Err("missing experiment name".to_string()),
+        };
+        let parsed = exps.and_then(|exps| {
+            Ok((exps, Self::from_iter(args, crate::scale_from_env(default_scale))?))
+        });
+        parsed.unwrap_or_else(|msg| {
+            if msg != "help" {
+                eprintln!("{msg}");
             }
-        }
+            eprintln!("{USAGE}\nexperiments: {} | all", EXPERIMENT_NAMES.join(" "));
+            std::process::exit(if msg == "help" { 0 } else { 2 });
+        })
     }
 
     /// Pure argument parsing (testable); `msg == "help"` requests usage.
@@ -252,6 +263,12 @@ impl HarnessOpts {
         if opts.ckpt_every > 0 && opts.ckpt_dir.is_none() {
             return Err("--ckpt-every requires --ckpt-dir (somewhere to save them)".into());
         }
+        if opts.ckpt_every > 0 && (opts.trace || opts.sample > 0) {
+            return Err(
+                "--ckpt-every conflicts with --trace/--sample (a mid-run checkpoint cannot resume an event stream)"
+                    .into(),
+            );
+        }
         if opts.simpoint.is_some() {
             if !opts.json {
                 return Err(
@@ -277,17 +294,19 @@ impl HarnessOpts {
 }
 
 const USAGE: &str =
-    "usage: <experiment> [--jobs N] [--seed S] [--scale test|medium|large] [--json] [--trace] [--sample N]
-                    [--ckpt-dir DIR] [--ffwd N] [--ckpt-every N] [--simpoint I,K]
+    "usage: mssr <experiment>|all [--jobs N] [--seed S] [--scale test|medium|large] [--json] [--trace]
+                             [--sample N] [--ckpt-dir DIR] [--ffwd N] [--ckpt-every N] [--simpoint I,K]
   --jobs N        worker threads for the experiment grid (default: all cores)
   --seed S        root seed for per-cell seeds (decimal or 0x-hex)
   --scale         workload input scale (default: MSSR_SCALE env, then medium)
   --json          emit the JSON-lines trajectory instead of reports
   --trace         with --json: emit per-cell pipeline event records
   --sample N      with --json: emit per-cell statistics deltas every N cycles
-  --ckpt-dir DIR  reuse/save per-cell checkpoints in DIR (off under --trace/--sample)
+  --ckpt-dir DIR  reuse/save per-cell checkpoints in DIR
+                  (fast-forward boundary snapshots only under --trace/--sample)
   --ffwd N        functionally fast-forward the first N instructions of each cell
   --ckpt-every N  with --ckpt-dir: save a checkpoint every N committed instructions
+                  (not with --trace/--sample)
   --simpoint I,K  with --json: SimPoint sampling — cluster I-instruction BBV intervals (k <= K)
                   and run only the representative intervals of each workload
   --bpred NAME    force every cell onto one branch predictor
@@ -378,7 +397,7 @@ pub(crate) fn profile_json_line(pool: &CellPool, i: CellId, r: &CellResult) -> O
 }
 
 /// Runs a set of experiments over one shared, deduplicated cell pool —
-/// the whole `run_all` sweep is a single parallel grid invocation — and
+/// the whole `mssr all` sweep is a single parallel grid invocation — and
 /// returns the rendered output (reports, or the JSON-lines trajectory
 /// under `--json`).
 pub fn run_experiments(exps: &[Box<dyn Experiment>], opts: &HarnessOpts) -> String {
@@ -465,8 +484,7 @@ pub fn run_experiments(exps: &[Box<dyn Experiment>], opts: &HarnessOpts) -> Stri
     out
 }
 
-/// Looks up experiments by name and runs them (the experiment binaries'
-/// entry point).
+/// Looks up experiments by name and runs them.
 ///
 /// # Panics
 ///
@@ -553,6 +571,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("--ckpt-every"), "{err}");
+    }
+
+    #[test]
+    fn ckpt_every_rejects_event_recording_runs() {
+        let ok = ["--json", "--ckpt-dir", "d", "--ckpt-every", "5"];
+        assert_eq!(HarnessOpts::from_iter(args(&ok), Scale::Test).unwrap().ckpt_every, 5);
+        for extra in [&["--trace"][..], &["--sample", "2000"]] {
+            let mut bad = ok.to_vec();
+            bad.extend_from_slice(extra);
+            let err = HarnessOpts::from_iter(args(&bad), Scale::Test).unwrap_err();
+            assert!(err.contains("--ckpt-every conflicts with --trace/--sample"), "{err}");
+        }
+        // Boundary snapshots stay available to event-recording runs.
+        let traced = ["--json", "--trace", "--ffwd", "10", "--ckpt-dir", "d"];
+        assert!(HarnessOpts::from_iter(args(&traced), Scale::Test).is_ok());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! rule extends to the wire), identical requests deduplicate against a
 //! content-addressed in-memory result cache, fast-forward boundary
 //! snapshots are shared across requests through [`CkptMem`], and cells
-//! execute on the same work-stealing execution path as the batch grid —
-//! [`CellPool::run_cell_with`] — which is what makes a served result
-//! byte-identical to the line the batch trajectory carries.
+//! execute through the batch grid's one executor —
+//! [`CellPool::run_cell`], with the plain one-segment plan — which is
+//! what makes a served result byte-identical to the line the batch
+//! trajectory carries.
 //!
 //! ## Protocol
 //!
@@ -54,13 +55,12 @@
 //! * **Graceful drain** — `shutdown` stops intake, lets queued cells
 //!   finish (their waiters get results), then replies `bye`.
 //!
-//! Checkpoint sharing follows the batch rule for *disk* checkpoints
-//! (unusable under sampling: a mid-run restore would truncate the event
-//! stream) but shares in-memory fast-forward *boundary* snapshots
-//! across every sampling mode — a boundary snapshot precedes all
-//! detailed cycles, so restoring one and re-asserting the requested
-//! sample interval reproduces a cold run exactly (see DESIGN.md,
-//! "Serve architecture").
+//! Checkpoint sharing follows the batch rule — boundary snapshots only
+//! under sampling (a mid-run restore would truncate the event stream) —
+//! and shares in-memory fast-forward *boundary* snapshots across every
+//! sampling mode: a boundary snapshot precedes all detailed cycles, so
+//! restoring one and re-asserting the requested sample interval
+//! reproduces a cold run exactly (see DESIGN.md, "Serve architecture").
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -75,12 +75,12 @@ use mssr_sim::BpredKind;
 use mssr_sim::{fnv1a64, json_escape};
 use mssr_workloads::Scale;
 
-use super::grid::{panic_message, CellRun, CkptMem, LiveSink};
+use super::grid::{panic_message, CkptMem, LiveSink, Segment};
 use super::metrics::{warnings_total, Counter, Histogram, Renderer};
 use super::report::Json;
 use super::{
     cell_json_line, cell_seed, experiment, push_event_lines, scale_name, splitmix64, CellId,
-    CellPool, DEFAULT_ROOT_SEED, EXPERIMENT_NAMES,
+    CellPool, HarnessOpts, DEFAULT_ROOT_SEED, EXPERIMENT_NAMES,
 };
 
 /// Ceiling on request-line length a server accepts by default (64 KiB —
@@ -116,8 +116,8 @@ pub struct ServeOpts {
     /// Experiments whose cells form the server's universe (cell ids
     /// match a batch run of the same experiment list).
     pub experiments: Vec<String>,
-    /// Optional on-disk checkpoint directory (unsampled requests only,
-    /// same rule as the batch harness).
+    /// Optional on-disk checkpoint directory (boundary snapshots only for
+    /// sampled requests, same rule as the batch harness).
     pub ckpt_dir: Option<std::path::PathBuf>,
     /// Result-cache capacity in entries (FIFO eviction); the shared
     /// fast-forward snapshot store is capped at the same count.
@@ -242,6 +242,8 @@ struct Metrics {
 struct State {
     opts: ServeOpts,
     pool: CellPool,
+    /// The cells' execution options; each job overrides `sample`.
+    cell_opts: HarnessOpts,
     addr: SocketAddr,
     cache: Mutex<CacheInner>,
     cache_cv: Condvar,
@@ -286,9 +288,12 @@ impl Server {
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let jobs = opts.jobs.max(1);
         let ckpt_mem = CkptMem::new(opts.cache_cap);
+        let cell_opts =
+            HarnessOpts { ckpt_dir: opts.ckpt_dir.clone(), ..HarnessOpts::new(opts.scale) };
         let state = Arc::new(State {
             opts,
             pool,
+            cell_opts,
             addr,
             cache: Mutex::new(CacheInner::default()),
             cache_cv: Condvar::new(),
@@ -388,19 +393,8 @@ fn worker_loop(state: &Arc<State>) {
 }
 
 fn run_job(state: &State, job: &Job) -> Served {
-    let rp = CellRun {
-        trace: false,
-        sample: job.sample,
-        ffwd: job.ffwd,
-        // Disk checkpoints follow the batch rule (mid-run restores are
-        // unusable under sampling); the in-memory boundary cache is
-        // always shared.
-        ckpt_dir: if job.sample > 0 { None } else { state.opts.ckpt_dir.as_deref() },
-        ckpt_every: 0,
-        timing: false,
-        profile: false,
-        ckpt_mem: Some(&state.ckpt_mem),
-    };
+    let opts = HarnessOpts { sample: job.sample, ..state.cell_opts.clone() };
+    let plan = [Segment::to_halt(job.ffwd)];
     let live: Option<LiveSink> = job.live.as_ref().map(|w| {
         let w = Arc::clone(w);
         let cell = job.cell;
@@ -408,9 +402,9 @@ fn run_job(state: &State, job: &Job) -> Served {
             let _ = send_line(&w, &format!("{{\"type\":\"event\",\"cell\":{cell},\"ev\":{line}}}"));
         }) as LiveSink
     });
-    match catch_unwind(AssertUnwindSafe(|| state.pool.run_cell_with(job.cell, job.seed, &rp, live)))
-    {
-        Ok(res) => {
+    let run = || state.pool.run_cell(job.cell, job.seed, &plan, &opts, Some(&state.ckpt_mem), live);
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok((res, _)) => {
             if let Some((_, skips)) =
                 res.stats.engine.extra.iter().find(|(k, _)| k == "ckpt_restore_skips")
             {

@@ -2,10 +2,11 @@
 //!
 //! The experiment harness: one regenerator per table and figure of the
 //! paper. Each experiment declares its cells into the shared grid in
-//! [`harness`] (so the `cargo bench` targets and the CLI binaries share
-//! code); the binaries print the same rows/series the paper reports.
+//! [`harness`] (so the `cargo bench` targets and the `mssr` binary share
+//! code); `mssr <experiment>` prints the same rows/series the paper
+//! reports.
 //!
-//! | binary | regenerates |
+//! | experiment | regenerates |
 //! |---|---|
 //! | `table1` | Table 1 — microbenchmark runtime improvements, MSSR streams vs RI ways |
 //! | `fig3` | Figure 3 — RI reuse-table replacement frequency by set |
@@ -18,11 +19,12 @@
 //! | `table4` | Table 4 — synthesis-complexity model |
 //! | `rollup` | the artifact's CSV rollup (CFG, BM, CYCLES, diff) |
 //! | `ablation` | design-choice ablations called out in DESIGN.md |
-//! | `run_all` | everything above as one parallel grid invocation |
+//! | `bpred` | the branch-predictor lab: every `--bpred` kind vs reuse benefit |
+//! | `all` | everything above as one parallel grid invocation |
 //!
-//! Every binary accepts the shared harness flags (`--jobs`, `--seed`,
-//! `--scale`, `--json`); scale can also come from `MSSR_SCALE` (`test` /
-//! `medium` / `large`, default `medium` for binaries; the bench targets
+//! Every experiment accepts the shared harness flags (`--jobs`, `--seed`,
+//! `--scale`, `--json`, …); scale can also come from `MSSR_SCALE` (`test`
+//! / `medium` / `large`, default `medium` for `mssr`; the bench targets
 //! always use `test`).
 
 pub mod harness;

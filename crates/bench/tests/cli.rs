@@ -1,17 +1,25 @@
-//! Command-line behavior of the harness binaries that unit tests cannot
-//! see: argument validation exit codes and the one-line stderr warning
-//! for flag combinations the harness silently degrades.
+//! Command-line behavior of the `mssr` binary that unit tests cannot
+//! see: argument validation exit codes, stderr warnings, and checkpoint
+//! reuse end to end.
 //!
-//! The warning test is the regression guard for a real footgun: with
-//! `--trace`/`--sample`, restoring a checkpoint would replay only the
-//! tail of the event stream, so the harness ignores `--ckpt-dir` — and
-//! before this suite existed it did so *silently*, leaving users to
-//! wonder why no checkpoints appeared.
+//! The checkpoint tests pin the one rule the executor applies to every
+//! run mode: runs that record events (`--trace`/`--sample`) and
+//! `--simpoint` representatives resume only from fast-forward boundary
+//! snapshots, which have no event stream behind them, so a warm run is
+//! byte-identical to a cold one and to a run without `--ckpt-dir`.
 
 use std::process::{Command, Output};
 
+fn mssr(experiment: &str, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mssr"))
+        .arg(experiment)
+        .args(args)
+        .output()
+        .expect("mssr binary runs")
+}
+
 fn table1(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_table1")).args(args).output().expect("table1 binary runs")
+    mssr("table1", args)
 }
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -20,42 +28,85 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-const CKPT_WARNING: &str = "--ckpt-dir is ignored under --trace/--sample";
+/// The stdout of a successful `table1 --scale test --json` run with
+/// `args` appended.
+fn table1_json(args: &[&str]) -> String {
+    let mut all = vec!["--scale", "test", "--json", "--jobs", "2"];
+    all.extend_from_slice(args);
+    let out = table1(&all);
+    assert!(out.status.success(), "{all:?} failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 trajectory")
+}
+
+/// The sorted file names in a checkpoint directory.
+fn ckpt_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("ckpt dir")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
 
 #[test]
-fn ckpt_dir_under_sample_warns_once_on_stderr() {
-    let dir = scratch("warn");
-    let out = table1(&[
-        "--scale",
-        "test",
-        "--json",
-        "--jobs",
-        "1",
-        "--sample",
-        "2000",
-        "--ckpt-dir",
-        dir.to_str().unwrap(),
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "run failed: {stderr}");
-    assert!(stderr.contains(CKPT_WARNING), "missing warning, stderr: {stderr}");
-    assert_eq!(
-        stderr.matches(CKPT_WARNING).count(),
-        1,
-        "warning must print once, not per cell: {stderr}"
-    );
+fn unknown_experiment_exits_2_with_usage() {
+    for args in [&["nope"][..], &[]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mssr")).args(args).output().expect("mssr runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2: {stderr}");
+        assert!(stderr.contains("usage: mssr <experiment>|all"), "{args:?}: {stderr}");
+        assert!(stderr.contains("table1") && stderr.contains("bpred"), "names listed: {stderr}");
+    }
+}
+
+#[test]
+fn simpoint_representatives_reuse_boundary_checkpoints() {
+    let dir = scratch("simpoint");
+    let d = dir.to_str().unwrap();
+    let reference = table1_json(&["--simpoint", "2000,3"]);
+    let cold = table1_json(&["--simpoint", "2000,3", "--ckpt-dir", d]);
+    let written = ckpt_files(&dir);
+    assert!(!written.is_empty(), "the cold run must save representative boundaries");
+    assert!(written.iter().all(|f| f.ends_with(".0.ckpt")), "boundaries only: {written:?}");
+    let warm = table1_json(&["--simpoint", "2000,3", "--ckpt-dir", d]);
+    assert_eq!(cold, reference, "a cold checkpointed --simpoint run must not move the trajectory");
+    assert_eq!(warm, reference, "a restored --simpoint run must not move the trajectory");
+    assert_eq!(ckpt_files(&dir), written, "the warm run must write no new files");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn ckpt_dir_without_trace_or_sample_stays_quiet() {
-    let dir = scratch("quiet");
-    let out =
-        table1(&["--scale", "test", "--json", "--jobs", "1", "--ckpt-dir", dir.to_str().unwrap()]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "run failed: {stderr}");
-    assert!(!stderr.contains(CKPT_WARNING), "spurious warning: {stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
+fn event_recording_runs_reuse_boundary_snapshots() {
+    for (tag, mode) in [("sample", &["--sample", "2000"][..]), ("trace", &["--trace"])] {
+        let dir = scratch(tag);
+        let d = dir.to_str().unwrap();
+        let with = |extra: &[&str]| {
+            let mut args = mode.to_vec();
+            args.extend_from_slice(&["--ffwd", "2000"]);
+            args.extend_from_slice(extra);
+            table1_json(&args)
+        };
+        let reference = with(&[]);
+        let cold = with(&["--ckpt-dir", d]);
+        let written = ckpt_files(&dir);
+        assert!(!written.is_empty(), "{tag}: the cold run must save its boundaries");
+        assert!(written.iter().all(|f| f.ends_with(".0.ckpt")), "{tag}: {written:?}");
+        let warm = with(&["--ckpt-dir", d]);
+        assert_eq!(cold, reference, "{tag}: cold checkpointed run diverged");
+        assert_eq!(warm, reference, "{tag}: restored run diverged");
+        assert_eq!(ckpt_files(&dir), written, "{tag}: the warm run must write no new files");
+        // Mid-run checkpoints of the same cells (an unsampled periodic
+        // run) sit next to the boundaries but are never restored here.
+        table1_json(&["--ffwd", "2000", "--ckpt-dir", d, "--ckpt-every", "5000"]);
+        assert!(ckpt_files(&dir).len() > written.len(), "{tag}: periodic seeding wrote nothing");
+        assert_eq!(with(&["--ckpt-dir", d]), reference, "{tag}: a mid-run checkpoint leaked in");
+        // The warm run really restored: with one boundary corrupted, the
+        // rerun reports the skipped snapshot.
+        std::fs::write(dir.join(&written[0]), b"not a checkpoint").expect("corrupt boundary");
+        let degraded = with(&["--ckpt-dir", d]);
+        assert!(degraded.contains("\"ckpt_restore_skips\""), "{tag}: skip not recorded");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -121,6 +172,20 @@ fn simpoint_argument_validation_rejects_bad_combinations() {
 }
 
 #[test]
+fn ckpt_every_with_event_recording_exits_2() {
+    // Mid-run checkpoints cannot resume an event stream, so the
+    // combination is a usage error rather than a silently dropped flag.
+    for mode in [&["--trace"][..], &["--sample", "2000"]] {
+        let mut args = vec!["--json", "--ckpt-dir", "d", "--ckpt-every", "5"];
+        args.extend_from_slice(mode);
+        let out = table1(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2: {stderr}");
+        assert!(stderr.contains("--ckpt-every conflicts with --trace/--sample"), "{stderr}");
+    }
+}
+
+#[test]
 fn profile_records_are_stderr_only_and_render_as_a_table() {
     let out = table1(&["--scale", "test", "--json", "--jobs", "2", "--profile"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -157,8 +222,7 @@ fn profile_records_are_stderr_only_and_render_as_a_table() {
 #[test]
 fn rollup_appends_a_throughput_aggregate_only_when_timed() {
     let run = |args: &[&str]| {
-        let out =
-            Command::new(env!("CARGO_BIN_EXE_rollup")).args(args).output().expect("rollup runs");
+        let out = mssr("rollup", args);
         assert!(out.status.success(), "rollup failed: {}", String::from_utf8_lossy(&out.stderr));
         String::from_utf8_lossy(&out.stdout).into_owned()
     };

@@ -93,7 +93,7 @@ fn bpred_sweeps_are_deterministic_across_jobs_and_checkpoints() {
 }
 
 /// The bpred experiment itself (the predictor × engine sweep) is part of
-/// `run_all` and must hold the same jobs-equality bar.
+/// `mssr all` and must hold the same jobs-equality bar.
 #[test]
 fn bpred_experiment_is_byte_identical_across_jobs() {
     let one = run_named(&["bpred"], &opts(1, false));
